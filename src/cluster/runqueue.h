@@ -165,6 +165,14 @@ class RunQueue {
     std::size_t n = ring_.drain(out, ring_.capacity());
     if (overflow_active_.load(std::memory_order_seq_cst)) {
       std::lock_guard lock(overflow_mutex_);
+      // FIFO across the spill, consumer side: a producer's overflowed
+      // items are newer than every ring item it claimed, but the ring
+      // drain stops at a slot another producer claimed and has not yet
+      // published, leaving published items behind it. Fold the lane in
+      // only once nothing is claimed in the ring. Read under the lock: a
+      // lane item visible here makes its producer's earlier ring claims
+      // visible too.
+      if (!ring_.empty()) return n;
       for (T& item : overflow_) {
         out.push_back(std::move(item));
         ++n;

@@ -51,7 +51,10 @@ class RuntimeEnv {
   virtual std::uint64_t run_depth(HiveId) { return 0; }
 
   /// Schedules `fn` to run (on the calling hive's execution context) after
-  /// `delay`. Used for timers and platform periodic work.
+  /// `delay`. Used for timers and platform periodic work. Tasks one hive
+  /// schedules with equal delays run in the order they were scheduled:
+  /// both runtimes order by (due time, schedule sequence). The hive's
+  /// deferred-emission FIFO relies on this.
   virtual void schedule_after(HiveId hive, Duration delay,
                               std::function<void()> fn) = 0;
 

@@ -32,20 +32,31 @@ class AppContext {
         bee_(bee),
         hive_(hive),
         now_(now),
-        in_reply_to_(in_reply_to) {}
+        in_reply_to_(in_reply_to),
+        emitted_(&owned_emitted_) {}
 
   /// Borrowed-policy variant for the dispatch hot path: the hive owns the
   /// policy and it outlives the context (the handler runs synchronously
   /// inside the dispatch frame), so no AccessPolicy is copied or moved.
+  /// `emit_buffer` is optional hive-owned emission storage, guarded like
+  /// `txn_scratch`: it is cleared here and keeps its capacity across
+  /// activations, so emitting allocates nothing for the buffer itself.
   AppContext(StateStore& store, const AccessPolicy* policy, AppId app,
              BeeId bee, HiveId hive, TimePoint now, MsgTypeId in_reply_to,
-             Txn::Scratch* txn_scratch = nullptr)
+             Txn::Scratch* txn_scratch = nullptr,
+             std::vector<MessageEnvelope>* emit_buffer = nullptr)
       : txn_(store, policy, txn_scratch),
         app_(app),
         bee_(bee),
         hive_(hive),
         now_(now),
-        in_reply_to_(in_reply_to) {}
+        in_reply_to_(in_reply_to),
+        emitted_(emit_buffer != nullptr ? emit_buffer : &owned_emitted_) {
+    emitted_->clear();
+  }
+
+  AppContext(const AppContext&) = delete;
+  AppContext& operator=(const AppContext&) = delete;
 
   /// Transactional access to the bee's cells.
   Txn& state() { return txn_; }
@@ -53,7 +64,7 @@ class AppContext {
   /// Emits an asynchronous message (buffered; routed after commit).
   template <WireEncodable T>
   void emit(T message) {
-    emitted_.push_back(
+    emitted_->push_back(
         MessageEnvelope::make(std::move(message), app_, bee_, hive_, now_));
   }
 
@@ -88,7 +99,7 @@ class AppContext {
 
   // -- Platform-side accessors (Hive uses these after the handler ran) ----
 
-  std::vector<MessageEnvelope>& emitted() { return emitted_; }
+  std::vector<MessageEnvelope>& emitted() { return *emitted_; }
   std::vector<std::pair<BeeId, HiveId>>& migration_orders() {
     return migration_orders_;
   }
@@ -102,7 +113,8 @@ class AppContext {
   HiveId hive_;
   TimePoint now_;
   MsgTypeId in_reply_to_;
-  std::vector<MessageEnvelope> emitted_;
+  std::vector<MessageEnvelope> owned_emitted_;  ///< without a hive buffer
+  std::vector<MessageEnvelope>* emitted_;
   std::vector<std::pair<BeeId, HiveId>> migration_orders_;
   std::vector<PlacementDecision> decisions_;
   std::optional<PlacementRoundNote> round_note_;

@@ -24,7 +24,8 @@ enum class FrameKind : std::uint8_t {
                      ///< other kind, each varint-length-prefixed. One batch
                      ///< is one wire unit: it is metered, fault-injected and
                      ///< (under the reliable transport) acked/retransmitted
-                     ///< as a whole. Batches never nest.
+                     ///< as a whole. Batches never nest: a receiver
+                     ///< rejects a nested one as malformed.
   kMergeCmd = 3,     ///< Tell a loser's hive to ship its state to a winner.
   kMigrateXfer = 4,  ///< Cell/state payload of a merge or migration.
   kMigrateAck = 5,   ///< Target hive accepted a migrated bee.

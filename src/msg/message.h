@@ -35,7 +35,11 @@ class MessageEnvelope {
     m.from_bee_ = from_bee;
     m.from_hive_ = from_hive;
     m.emitted_at_ = emitted_at;
-    m.payload_size_ = static_cast<std::uint32_t>(encode_to_bytes(body).size());
+    // Sized by encoding into a per-thread scratch writer that keeps its
+    // capacity, so learning the wire size costs no allocation.
+    ByteWriter& sizing = sizing_scratch();
+    body.encode(sizing);
+    m.payload_size_ = static_cast<std::uint32_t>(sizing.size());
     m.body_ = std::make_shared<const T>(std::move(body));
     return m;
   }
@@ -163,6 +167,14 @@ class MessageEnvelope {
   static constexpr std::uint32_t kHeaderBytes = kFixedHeaderBytes + 2;
 
  private:
+  /// The calling thread's sizing writer, cleared. One per thread, shared
+  /// by every message type.
+  static ByteWriter& sizing_scratch() {
+    thread_local ByteWriter w;
+    w.clear();
+    return w;
+  }
+
   MsgTypeId type_ = 0;
   AppId from_app_ = 0;
   BeeId from_bee_ = kNoBee;

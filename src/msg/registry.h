@@ -4,8 +4,17 @@
 // platform needs when a message crosses a hive boundary: the sending hive
 // serializes the typed payload, the receiving hive looks the MsgTypeId up
 // and reconstructs the typed object. Registration is idempotent and
-// normally happens from App::setup() or the message header's
-// register_*_messages() helper.
+// normally happens when an App registers its handlers (App::on) or from
+// the message header's register_*_messages() helper.
+//
+// Threading: the registry takes no lock. Lookups (find(), and ensure() of
+// a type already present) may run concurrently; an insertion may not run
+// alongside anything. Every message type must therefore be registered
+// before a cluster starts its loops — App::on covers the types an app
+// handles, Hive's constructor covers the platform's own
+// (TimerTick, LocalMetricsReport), and an app that emits a type no app
+// handles must register it itself before start(). MessageEnvelope::make()
+// still calls ensure(), which is then a read.
 #pragma once
 
 #include <functional>
