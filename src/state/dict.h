@@ -36,19 +36,31 @@ class Dict {
     entries_.emplace(std::string(key), std::move(value));
   }
 
-  /// put() that also hands back the key's prior value — one tree traversal
-  /// where the transactional write path (undo capture + store) used to pay
-  /// two lookups plus a value copy.
-  std::optional<Bytes> put_and_fetch_prior(std::string_view key,
-                                           Bytes value) {
+  /// Copy-in put: `value` is copied into the key's existing entry, reusing
+  /// that entry's capacity, so every buffer stays with its owner.
+  void assign(std::string_view key, std::string_view value) {
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      std::optional<Bytes> prior(std::move(it->second));
-      it->second = std::move(value);
-      return prior;
+      it->second.assign(value);
+      return;
     }
-    entries_.emplace(std::string(key), std::move(value));
-    return std::nullopt;
+    entries_.emplace(std::string(key), Bytes(value));
+  }
+
+  /// assign() that first copies the key's prior bytes into `prior`
+  /// (reusing the caller's capacity) — one tree traversal for the
+  /// transactional write path's undo capture plus store. Returns whether
+  /// the key existed; `prior` is untouched when it did not.
+  bool assign_and_fetch_prior(std::string_view key, std::string_view value,
+                              Bytes& prior) {
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      prior.assign(it->second);
+      it->second.assign(value);
+      return true;
+    }
+    entries_.emplace(std::string(key), Bytes(value));
+    return false;
   }
 
   std::optional<Bytes> get(std::string_view key) const {
