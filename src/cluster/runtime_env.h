@@ -60,7 +60,15 @@ class RuntimeEnv {
 
   /// Ships an opaque frame to another hive's on_wire entry point. The
   /// runtime meters bytes on the control channel and applies link latency.
-  virtual void send_frame(HiveId from, HiveId to, Bytes frame) = 0;
+  /// It takes the bytes out of `frame` and leaves there a cleared buffer,
+  /// usually one an earlier frame on the same link used
+  /// (cluster/frame_handoff.h): a caller that sends from one buffer stops
+  /// allocating once the link is warm.
+  virtual void send_frame(HiveId from, HiveId to, Bytes& frame) = 0;
+  /// One-off frame: the recycled buffer is dropped.
+  void send_frame(HiveId from, HiveId to, Bytes&& frame) {
+    send_frame(from, to, frame);
+  }
 
   /// Deterministic randomness source for platform decisions.
   virtual Xoshiro256& rng() = 0;

@@ -9,7 +9,8 @@ SimCluster::SimCluster(ClusterConfig config, const AppSet& apps)
     : config_(config),
       meter_(config.n_hives, config.bw_bucket),
       registry_(config.n_hives, &meter_, config.registry_hive),
-      rng_(config.seed) {
+      rng_(config.seed),
+      frames_(config.n_hives) {
   assert(config_.n_hives > 0);
   config_.hive.n_hives = config_.n_hives;
   queues_.resize(config_.n_hives);
@@ -79,40 +80,29 @@ void SimCluster::schedule_after(HiveId hive, Duration delay,
                                 std::function<void()> fn) {
   assert(delay >= 0);
   // Pressure accounting: this event sits in `hive`'s slice of the queue
-  // until it fires (the wrapper below settles the books either way).
+  // until it fires (step() settles the books either way).
   if (hive < queues_.size()) {
     QueueStats& q = queues_[hive];
     q.depth += 1;
     if (q.depth > q.hwm) q.hwm = q.depth;
   }
-  // A crashed hive's pending callbacks (timers, deferred emissions) must
-  // not run: check liveness at fire time, not at scheduling time.
-  events_.push(Event{now_ + delay, next_seq_++,
-                     [this, hive, f = std::move(fn)]() {
-                       if (hive < queues_.size()) {
-                         QueueStats& q = queues_[hive];
-                         if (q.depth > 0) q.depth -= 1;
-                         q.drained += 1;
-                       }
-                       if (hive_alive(hive)) f();
-                     }});
+  events_.push(Event{now_ + delay, next_seq_++, hive, true, std::move(fn)});
 }
 
-void SimCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
+void SimCluster::send_frame(HiveId from, HiveId to, Bytes& frame) {
   assert(from < hives_.size() && to < hives_.size());
-  if (!hive_alive(from) || !hive_alive(to)) return;  // crash = silence
+  if (!hive_alive(from) || !hive_alive(to)) {  // crash = silence
+    frame.clear();
+    return;
+  }
   meter_.record(from, to, frame.size(), now_);
+  WireFrame* f = frames_.take(from, to, frame);
   // Channel transit spans: send on the source recorder, receive on the
   // destination's, paired by the event sequence number of the delivery.
-  const std::uint64_t frame_seq = next_seq_;
-  const auto kind = frame.empty()
-                        ? MsgTypeId{0}
-                        : static_cast<MsgTypeId>(
-                              static_cast<unsigned char>(frame[0]));
-  const auto bytes = static_cast<std::uint32_t>(frame.size());
+  f->seq = next_seq_;
   if (TraceRecorder* t = tracer(from); t != nullptr) {
-    t->record(TraceEvent{now_, SpanKind::kChannelSend, bytes, 0, from, kNoBee,
-                         0, kind, frame_seq, to});
+    t->record(TraceEvent{now_, SpanKind::kChannelSend, f->size, 0, from,
+                         kNoBee, 0, f->kind, f->seq, to});
   }
   // The fault plan decides this frame's fate (drop / duplicate / delay).
   // Fault-free plans never touch the RNG, so clean runs stay bit-identical
@@ -120,32 +110,47 @@ void SimCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
   FaultPlan::Delivery fate;
   if (faults_.active()) {
     fate = faults_.decide(from, to, config_.wire_latency, rng_);
-    if (fate.copies == 0) return;  // dropped or partitioned
   }
-  Hive* target = hives_[to].get();
+  if (fate.copies == 0) {  // dropped or partitioned
+    frames_.give_back(f);
+    return;
+  }
   for (std::uint8_t copy = 0; copy < fate.copies; ++copy) {
-    Bytes payload = (copy + 1 == fate.copies) ? std::move(frame) : frame;
-    events_.push(
-        Event{now_ + config_.wire_latency + fate.extra_delay[copy],
-              next_seq_++,
-              [this, from, to, target, frame_seq, kind, bytes,
-               f = std::move(payload)]() {
-                if (!hive_alive(to)) return;
-                if (TraceRecorder* t = tracer(to); t != nullptr) {
-                  t->record(TraceEvent{now_, SpanKind::kChannelRecv, bytes, 0,
-                                       from, kNoBee, 0, kind, frame_seq, to});
-                }
-                target->on_wire(f);
-              }});
+    WireFrame* node = copy + 1 == fate.copies ? f : frames_.duplicate(*f);
+    events_.push(Event{now_ + config_.wire_latency + fate.extra_delay[copy],
+                       next_seq_++, to, false,
+                       [this, node]() { deliver(node); }});
   }
+}
+
+void SimCluster::deliver(WireFrame* f) {
+  if (hive_alive(f->to)) {
+    if (TraceRecorder* t = tracer(f->to); t != nullptr) {
+      t->record(TraceEvent{now_, SpanKind::kChannelRecv, f->size, 0, f->from,
+                           kNoBee, 0, f->kind, f->seq, f->to});
+    }
+    hives_[f->to]->on_wire(f->bytes);
+  }
+  frames_.give_back(f);
 }
 
 bool SimCluster::step() {
   if (events_.empty()) return false;
-  Event event = events_.top();
+  // Moved out, not copied: the closure may own captured state.
+  Event event = std::move(const_cast<Event&>(events_.top()));
   events_.pop();
   assert(event.at >= now_ && "event scheduled in the past");
   now_ = event.at;
+  if (event.task) {
+    if (event.hive < queues_.size()) {
+      QueueStats& q = queues_[event.hive];
+      if (q.depth > 0) q.depth -= 1;
+      q.drained += 1;
+    }
+    // A crashed hive's pending callbacks (timers, deferred emissions) must
+    // not run: liveness is checked at fire time, not at scheduling time.
+    if (!hive_alive(event.hive)) return true;
+  }
   event.fn();
   return true;
 }

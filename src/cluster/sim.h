@@ -17,6 +17,7 @@
 
 #include "cluster/channel.h"
 #include "cluster/faults.h"
+#include "cluster/frame_handoff.h"
 #include "cluster/registry.h"
 #include "cluster/runtime_env.h"
 #include "core/hive.h"
@@ -72,7 +73,8 @@ class SimCluster final : public RuntimeEnv {
   TimePoint now() const override { return now_; }
   void schedule_after(HiveId hive, Duration delay,
                       std::function<void()> fn) override;
-  void send_frame(HiveId from, HiveId to, Bytes frame) override;
+  using RuntimeEnv::send_frame;
+  void send_frame(HiveId from, HiveId to, Bytes& frame) override;
   Xoshiro256& rng() override { return rng_; }
   QueueStats queue_stats(HiveId hive) override {
     if (hive >= queues_.size()) return {};
@@ -159,9 +161,17 @@ class SimCluster final : public RuntimeEnv {
   std::string health_json() const { return health().to_json(); }
 
  private:
+  /// Hands a frame to its target hive unless the target crashed, then
+  /// returns the node to its link.
+  void deliver(WireFrame* frame);
+
   struct Event {
     TimePoint at;
     std::uint64_t seq;
+    HiveId hive;
+    /// A task scheduled for `hive` (queue accounting and the crash check
+    /// run in step()), as opposed to a frame delivery to `hive`.
+    bool task;
     std::function<void()> fn;
     bool operator>(const Event& other) const {
       if (at != other.at) return at > other.at;
@@ -178,6 +188,7 @@ class SimCluster final : public RuntimeEnv {
   std::unique_ptr<FlightRecorder> recorder_;
   std::vector<std::unique_ptr<TraceRecorder>> tracers_;
   std::vector<std::unique_ptr<Hive>> hives_;
+  FrameHandoff frames_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   /// Per-hive slice of the single event queue (pressure accounting). The
   /// sim is single-threaded, so plain counters suffice.

@@ -16,6 +16,7 @@ ThreadCluster::ThreadCluster(ThreadClusterConfig config, const AppSet& apps)
       meter_(config.n_hives, config.bw_bucket),
       registry_(config.n_hives, &meter_, config.registry_hive),
       rng_(config.seed),
+      frames_(config.n_hives),
       epoch_(std::chrono::steady_clock::now()) {
   assert(config_.n_hives > 0);
   config_.hive.n_hives = config_.n_hives;
@@ -145,6 +146,16 @@ void ThreadCluster::stop() {
   for (auto& node : nodes_) {
     if (node->thread.joinable()) node->thread.join();
   }
+  // Nothing runs any more: drop what is still queued (the frame deliveries
+  // among it point at nodes freed below), then free the frames in flight.
+  std::vector<Task> dropped;
+  for (auto& node : nodes_) {
+    node->queue.drain(dropped);
+    node->timed = {};
+    node->timed_size.store(0, std::memory_order_relaxed);
+  }
+  dropped.clear();
+  frames_.release_all();
 }
 
 void ThreadCluster::post(HiveId hive, std::function<void()> fn) {
@@ -186,46 +197,47 @@ void ThreadCluster::schedule_after(HiveId hive, Duration delay,
   }
 }
 
-void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes frame) {
+void ThreadCluster::send_frame(HiveId from, HiveId to, Bytes& frame) {
   assert(from < nodes_.size() && to < nodes_.size());
   meter_.record(from, to, frame.size(), now());
+  WireFrame* f = frames_.take(from, to, frame);
   // Channel transit spans paired by a cluster-unique frame sequence. The
   // send side records on the source hive's recorder (we are on its loop
   // thread), the receive side on the target's — each recorder stays
   // single-writer.
-  const std::uint64_t frame_seq = next_seq_.fetch_add(1);
-  const auto kind = frame.empty()
-                        ? MsgTypeId{0}
-                        : static_cast<MsgTypeId>(
-                              static_cast<unsigned char>(frame[0]));
-  const auto bytes = static_cast<std::uint32_t>(frame.size());
+  f->seq = next_seq_.fetch_add(1);
   if (TraceRecorder* t = tracer(from); t != nullptr) {
-    t->record(TraceEvent{now(), SpanKind::kChannelSend, bytes, 0, from,
-                         kNoBee, 0, kind, frame_seq, to});
+    t->record(TraceEvent{now(), SpanKind::kChannelSend, f->size, 0, from,
+                         kNoBee, 0, f->kind, f->seq, to});
   }
   // The fault plan decides this frame's fate (drop / duplicate / delay).
   FaultPlan::Delivery fate;
   if (faults_.active()) {
     std::lock_guard lock(rng_mutex_);
     fate = faults_.decide(from, to, /*base_latency=*/0, rng_);
-    if (fate.copies == 0) return;  // dropped or partitioned
   }
-  Hive* target = nodes_[to]->hive.get();
+  if (fate.copies == 0) {  // dropped or partitioned
+    frames_.give_back(f);
+    return;
+  }
   // Delivery runs on the target hive's loop thread, preserving the
-  // single-threaded-per-hive execution discipline.
+  // single-threaded-per-hive execution discipline. Duplicates are copied
+  // before the original is scheduled: once scheduled, the receiver may
+  // hand the node back at any moment.
   for (std::uint8_t copy = 0; copy < fate.copies; ++copy) {
-    Bytes payload = (copy + 1 == fate.copies) ? std::move(frame) : frame;
+    WireFrame* node = copy + 1 == fate.copies ? f : frames_.duplicate(*f);
     schedule_after(to, fate.extra_delay[copy],
-                   [this, from, to, target, frame_seq, kind, bytes,
-                    f = std::move(payload)]() {
-                     if (TraceRecorder* t = tracer(to); t != nullptr) {
-                       t->record(TraceEvent{now(), SpanKind::kChannelRecv,
-                                            bytes, 0, from, kNoBee, 0, kind,
-                                            frame_seq, to});
-                     }
-                     target->on_wire(f);
-                   });
+                   [this, node]() { deliver(node); });
   }
+}
+
+void ThreadCluster::deliver(WireFrame* f) {
+  if (TraceRecorder* t = tracer(f->to); t != nullptr) {
+    t->record(TraceEvent{now(), SpanKind::kChannelRecv, f->size, 0, f->from,
+                         kNoBee, 0, f->kind, f->seq, f->to});
+  }
+  nodes_[f->to]->hive->on_wire(f->bytes);
+  frames_.give_back(f);
 }
 
 QueueStats ThreadCluster::queue_stats(HiveId hive) {

@@ -30,6 +30,7 @@
 
 #include "cluster/channel.h"
 #include "cluster/faults.h"
+#include "cluster/frame_handoff.h"
 #include "cluster/registry.h"
 #include "cluster/runqueue.h"
 #include "cluster/runtime_env.h"
@@ -78,8 +79,8 @@ class ThreadCluster final : public RuntimeEnv {
   /// Starts every hive's loop thread and arms timers.
   void start();
 
-  /// Stops delivering, drains nothing further, joins all threads.
-  /// Idempotent.
+  /// Stops delivering, joins all threads, then discards every task still
+  /// queued and frees every frame still in flight. Idempotent.
   void stop();
 
   bool running() const { return running_.load(); }
@@ -89,7 +90,8 @@ class ThreadCluster final : public RuntimeEnv {
   TimePoint now() const override;
   void schedule_after(HiveId hive, Duration delay,
                       std::function<void()> fn) override;
-  void send_frame(HiveId from, HiveId to, Bytes frame) override;
+  using RuntimeEnv::send_frame;
+  void send_frame(HiveId from, HiveId to, Bytes& frame) override;
   Xoshiro256& rng() override { return rng_; }
   QueueStats queue_stats(HiveId hive) override;
   std::uint64_t run_depth(HiveId hive) override {
@@ -108,6 +110,8 @@ class ThreadCluster final : public RuntimeEnv {
   std::size_t n_hives() const { return nodes_.size(); }
   ChannelMeter& meter() { return meter_; }
   RegistryService& registry() { return registry_; }
+  /// The pooled frame handoff (in-flight and spare counts, for tests).
+  const FrameHandoff& frames() const { return frames_; }
 
   /// Per-hive span recorder (nullptr when tracing is off).
   TraceRecorder* tracer(HiveId id) {
@@ -200,6 +204,9 @@ class ThreadCluster final : public RuntimeEnv {
   };
 
   void loop(Node& node);
+  /// Runs on the target hive's loop thread: hands the frame to the hive,
+  /// then the node back to its link.
+  void deliver(WireFrame* frame);
   void pin_loop_thread(std::size_t hive_index);
   /// The race-free idle predicate shared by wait_idle and the loop's idle
   /// signalling (ordering contract documented at the definition).
@@ -223,6 +230,7 @@ class ThreadCluster final : public RuntimeEnv {
   std::mutex rng_mutex_;
   FaultPlan faults_;  // decide()/rpc_lost() calls guarded by rng_mutex_
   std::vector<std::unique_ptr<Node>> nodes_;
+  FrameHandoff frames_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> next_seq_{0};
   std::chrono::steady_clock::time_point epoch_;

@@ -159,8 +159,8 @@ class Bee {
   /// previous (from, hive, type) combination bumps cached counters directly
   /// instead of re-running six associative lookups per message. Map and
   /// unordered_map element addresses are stable under insertion, so the
-  /// cached pointers stay valid until reset_window() replaces the maps
-  /// (which invalidates the memo).
+  /// cached pointers stay valid until reset_window(), which may erase
+  /// window entries (and so invalidates the memo).
   void note_receive(BeeId from, HiveId from_hive, std::size_t bytes,
                     bool count_provenance = true, MsgTypeId type = 0) {
     window_.msgs_in += 1;
@@ -243,8 +243,8 @@ class Bee {
   }
 
   void reset_window() {
-    window_ = BeeMetrics{};
-    memo_.valid = false;  // the cached window_ slots were just destroyed
+    window_.reset_window();
+    memo_.valid = false;  // a cached window_ slot may have been erased
   }
 
  private:

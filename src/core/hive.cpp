@@ -27,7 +27,8 @@ Hive::Hive(HiveId id, const AppSet& apps, RegistryService& registry,
   register_metrics_messages();
   if (config_.transport.enabled) {
     transport_ =
-        std::make_unique<ReliableTransport>(id_, env_, config_.transport);
+        std::make_unique<ReliableTransport>(id_, config_.n_hives, env_,
+                                            config_.transport);
     // Link-level sheds and mailbox sheds share one metric cell.
     transport_->set_shed_counter(&counters_.shed_total);
     // Link-level spans (stall/retransmit/shed) land in the hive's recorder.
@@ -790,6 +791,12 @@ void Hive::send_frame(HiveId to, Bytes frame) {
 }
 
 void Hive::append_egress(HiveId to, std::string_view frame) {
+  if (to >= config_.n_hives) {
+    // Wire input is validated at decode; this guards the resize below
+    // against any id that slipped through.
+    throw std::out_of_range("egress to hive " + std::to_string(to) +
+                            " outside the cluster");
+  }
   if (egress_.size() <= to) egress_.resize(to + 1);
   Egress& e = egress_[to];
   if (e.count == 0) {
@@ -832,15 +839,20 @@ void Hive::flush_egress() {
       config_.tracer->record(ev);
     }
     e.count = 0;
-    // Move the accumulated batch out (the buffer restarts empty); the whole
-    // batch is one wire unit from here on — one meter update, one fault
-    // decision, one delivery closure, one ack/retransmit under transport.
-    Bytes batch = std::move(e.buf).take();
+    // The whole batch is one wire unit from here on — one meter update,
+    // one fault decision, one delivery closure, one ack/retransmit under
+    // transport.
     const HiveId to = static_cast<HiveId>(i);
     if (transport_) {
-      transport_->send(to, std::move(batch));
+      transport_->send(to, std::move(e.buf).take());
     } else {
-      env_.send_frame(id_, to, std::move(batch));
+      // The runtime takes the batch and hands back a cleared buffer an
+      // earlier batch on this link used, so a warm egress buffer never
+      // grows again.
+      Bytes batch;
+      e.buf.swap(batch);
+      env_.send_frame(id_, to, batch);
+      e.buf.swap(batch);
     }
   }
 }
@@ -909,6 +921,17 @@ void Hive::reject_frame(std::size_t bytes, const std::exception& e) {
           << " bytes: " << e.what();
 }
 
+void Hive::check_wire_hive(HiveId hive, const char* field) const {
+  // Hive ids index per-hive tables (egress buffers, the runtime's nodes);
+  // one from outside the cluster is malformed input, rejected before any
+  // handler acts on it.
+  if (hive >= config_.n_hives) {
+    throw DecodeError(std::string(field) + " " + std::to_string(hive) +
+                      " outside a cluster of " +
+                      std::to_string(config_.n_hives) + " hives");
+  }
+}
+
 void Hive::dispatch_frame(std::string_view frame) {
   ByteReader r(frame);
   auto kind = static_cast<FrameKind>(r.u8());
@@ -933,17 +956,24 @@ void Hive::dispatch_frame(std::string_view frame) {
       }
       break;
     }
-    case FrameKind::kMergeCmd:
-      handle_merge_cmd(MergeCmdFrame::decode(r));
+    case FrameKind::kMergeCmd: {
+      MergeCmdFrame f = MergeCmdFrame::decode(r);
+      check_wire_hive(f.winner_hive, "merge winner hive");
+      handle_merge_cmd(f);
       break;
-    case FrameKind::kMigrateXfer:
-      handle_migrate_xfer(MigrateXferFrame::decode(r));
+    }
+    case FrameKind::kMigrateXfer: {
+      MigrateXferFrame f = MigrateXferFrame::decode(r);
+      check_wire_hive(f.src_hive, "migration source hive");
+      handle_migrate_xfer(f);
       break;
+    }
     case FrameKind::kMigrateAck:
       handle_migrate_ack(MigrateAckFrame::decode(r));
       break;
     case FrameKind::kMigrationOrder: {
       MigrationOrderFrame f = MigrationOrderFrame::decode(r);
+      check_wire_hive(f.to_hive, "migration target hive");
       request_migration(f.bee, f.to_hive);
       break;
     }
@@ -973,6 +1003,7 @@ void Hive::handle_app_msg(ByteReader& r) {
   const std::uint64_t env_len = r.varint();
   std::string_view env_bytes = r.view(env_len);
   MessageEnvelope env = MessageEnvelope::from_wire(env_bytes);
+  check_wire_hive(env.from_hive(), "message source hive");
   if (Bee* bee = find_bee(frame_target)) {
     deliver_local(*bee, env, frame_min);
     return;
@@ -1099,14 +1130,18 @@ void Hive::report_metrics() {
     if (const App* app = apps_.find(bee->app())) {
       sample.pinned = app->pinned();
     }
+    // Window maps keep entries that went quiet (BeeMetrics::reset_window);
+    // a zero count is not part of the window.
     for (const auto& [key, count] : w.inbound_hive) {
-      sample.sources.push_back({key.first, key.second, count});
+      if (count != 0) sample.sources.push_back({key.first, key.second, count});
     }
     for (const auto& [type, count] : w.inbound_types) {
-      sample.in_types.push_back({type, count});
+      if (count != 0) sample.in_types.push_back({type, count});
     }
     for (const auto& [pair, count] : w.causation) {
-      sample.causations.push_back({pair.first, pair.second, count});
+      if (count != 0) {
+        sample.causations.push_back({pair.first, pair.second, count});
+      }
     }
     report.cost_us += sample.cost_us;
     report.hive_cells += sample.cells;

@@ -354,6 +354,9 @@ class Hive {
   // delivered before the fault stay delivered.
   void dispatch_untrusted(std::string_view frame);
   void reject_frame(std::size_t bytes, const std::exception& e);
+  /// Throws DecodeError when a hive id read off the wire is outside the
+  /// cluster.
+  void check_wire_hive(HiveId hive, const char* field) const;
   void dispatch_frame(std::string_view frame);
   void handle_app_msg(ByteReader& r);
   void handle_merge_cmd(const MergeCmdFrame& frame);

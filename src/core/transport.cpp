@@ -18,9 +18,9 @@ namespace beehive {
 // min(own credit_window, peer advertisement) and park the excess in
 // Peer::stalled until acks return credit.
 
-ReliableTransport::ReliableTransport(HiveId self, RuntimeEnv& env,
-                                     TransportConfig config)
-    : self_(self), env_(env), config_(config) {
+ReliableTransport::ReliableTransport(HiveId self, std::size_t n_hives,
+                                     RuntimeEnv& env, TransportConfig config)
+    : self_(self), n_hives_(n_hives), env_(env), config_(config) {
   if (config_.degraded_window == 0) config_.degraded_window = 1;
 }
 
@@ -91,7 +91,7 @@ void ReliableTransport::ship_new(HiveId to, Peer& peer, Bytes inner) {
   const std::uint64_t seq = peer.next_seq++;
   ++counters_.data_frames;
   ship(to, peer, seq, inner);
-  peer.unacked.emplace(seq, std::move(inner));
+  peer.unacked.emplace(seq, Peer::Unacked{std::move(inner), env_.now()});
   arm_retransmit(to, peer);
 }
 
@@ -194,10 +194,17 @@ void ReliableTransport::drain_stalled(HiveId to, Peer& peer) {
 }
 
 void ReliableTransport::arm_retransmit(HiveId to, Peer& peer) {
-  if (peer.rtx_armed) return;
+  if (peer.rtx_armed || peer.unacked.empty()) return;
   peer.rtx_armed = true;
   if (peer.rto <= 0) peer.rto = config_.rto_initial;
-  env_.schedule_after(self_, peer.rto, [this, to]() { retransmit_fired(to); });
+  // Fire at the oldest unacked frame's deadline.
+  TimePoint oldest = peer.unacked.begin()->second.sent_at;
+  for (const auto& [seq, u] : peer.unacked) {
+    oldest = std::min(oldest, u.sent_at);
+  }
+  const Duration delay =
+      std::max<Duration>(oldest + peer.rto - env_.now(), 0);
+  env_.schedule_after(self_, delay, [this, to]() { retransmit_fired(to); });
 }
 
 void ReliableTransport::retransmit_fired(HiveId to) {
@@ -208,28 +215,40 @@ void ReliableTransport::retransmit_fired(HiveId to) {
     peer.rto = config_.rto_initial;
     return;
   }
-  if (++peer.rounds > config_.max_rounds) {
-    counters_.frames_abandoned += peer.unacked.size();
-    BH_ERROR << "transport on hive " << self_ << ": abandoning "
-             << peer.unacked.size() << " unacked frame(s) to hive " << to
-             << " after " << config_.max_rounds << " retransmit rounds";
-    peer.unacked.clear();
-    peer.rounds = 0;
-    peer.rto = config_.rto_initial;
-    // Abandoning freed the whole window; stalled frames (if any) ship now
-    // rather than waiting for an ack that will never come.
-    drain_stalled(to, peer);
-    return;
-  }
-  for (const auto& [seq, inner] : peer.unacked) {
-    ++counters_.retransmits;
-    if (tracing()) {
-      trace_link(SpanKind::kRetransmit, to, seq,
-                 static_cast<std::uint32_t>(peer.rounds));
+  // Only a frame unacked for a whole rto is late. When nothing is (every
+  // frame was sent after the timer was armed), the timer just re-arms for
+  // the oldest frame's deadline.
+  const TimePoint now = env_.now();
+  const auto late = [&](const Peer::Unacked& u) {
+    return now - u.sent_at >= peer.rto;
+  };
+  if (std::any_of(peer.unacked.begin(), peer.unacked.end(),
+                  [&](const auto& entry) { return late(entry.second); })) {
+    if (++peer.rounds > config_.max_rounds) {
+      counters_.frames_abandoned += peer.unacked.size();
+      BH_ERROR << "transport on hive " << self_ << ": abandoning "
+               << peer.unacked.size() << " unacked frame(s) to hive " << to
+               << " after " << config_.max_rounds << " retransmit rounds";
+      peer.unacked.clear();
+      peer.rounds = 0;
+      peer.rto = config_.rto_initial;
+      // Abandoning freed the whole window; stalled frames (if any) ship
+      // now rather than waiting for an ack that will never come.
+      drain_stalled(to, peer);
+      return;
     }
-    ship(to, peer, seq, inner);
+    for (auto& [seq, u] : peer.unacked) {
+      if (!late(u)) continue;
+      ++counters_.retransmits;
+      if (tracing()) {
+        trace_link(SpanKind::kRetransmit, to, seq,
+                   static_cast<std::uint32_t>(peer.rounds));
+      }
+      ship(to, peer, seq, u.frame);
+      u.sent_at = now;
+    }
+    peer.rto = std::min(peer.rto * 2, config_.rto_max);
   }
-  peer.rto = std::min(peer.rto * 2, config_.rto_max);
   arm_retransmit(to, peer);
 }
 
@@ -272,6 +291,10 @@ void ReliableTransport::on_wire(std::string_view frame,
   ByteReader r(frame);
   const auto kind = static_cast<FrameKind>(r.u8());
   const HiveId src = r.u32();
+  if (src >= n_hives_ || src == self_) {
+    throw DecodeError("transport frame from hive " + std::to_string(src) +
+                      " outside the cluster");
+  }
   if (kind == FrameKind::kAck) {
     Peer& peer = peers_[src];
     process_ack(peer, r.varint());

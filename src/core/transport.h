@@ -11,10 +11,12 @@
 //     and is buffered until cumulatively acked;
 //   * acks are cumulative, piggybacked on every reverse data frame and
 //     otherwise sent as delayed standalone ack frames;
-//   * unacked frames are retransmitted on a per-peer timer with
-//     exponential backoff, up to a round cap — past it the frames are
+//   * a frame unacked for one retransmission timeout is retransmitted,
+//     with exponential backoff, up to a round cap — past it the frames are
 //     abandoned (the link is treated as dead; higher layers such as the
-//     migration retry protocol decide what that means);
+//     migration retry protocol decide what that means). One timer per
+//     peer fires at the oldest unacked frame's deadline and resends only
+//     the frames that are late, never one sent a moment before;
 //   * the receiver delivers frames strictly in sequence order, buffering
 //     early arrivals and discarding duplicates, so handlers never observe
 //     the network's duplication or reordering.
@@ -89,7 +91,9 @@ struct TransportConfig {
 
 class ReliableTransport {
  public:
-  ReliableTransport(HiveId self, RuntimeEnv& env, TransportConfig config);
+  /// `n_hives` bounds the peer ids accepted from the wire.
+  ReliableTransport(HiveId self, std::size_t n_hives, RuntimeEnv& env,
+                    TransportConfig config);
 
   ReliableTransport(const ReliableTransport&) = delete;
   ReliableTransport& operator=(const ReliableTransport&) = delete;
@@ -100,7 +104,8 @@ class ReliableTransport {
 
   /// Entry point for kReliable / kAck frames. Frames that complete an
   /// in-order run are handed to `deliver` (the hive's frame demux), in
-  /// sequence order.
+  /// sequence order. Throws DecodeError on a malformed header, including
+  /// a source hive outside the cluster.
   using DeliverFn = std::function<void(std::string_view)>;
   void on_wire(std::string_view frame, const DeliverFn& deliver);
 
@@ -149,7 +154,11 @@ class ReliableTransport {
   struct Peer {
     // Outbound.
     std::uint64_t next_seq = 1;
-    std::map<std::uint64_t, Bytes> unacked;  ///< seq -> inner frame
+    struct Unacked {
+      Bytes frame;
+      TimePoint sent_at = 0;  ///< last (re)transmission
+    };
+    std::map<std::uint64_t, Unacked> unacked;  ///< seq -> inner frame
     Duration rto = 0;
     int rounds = 0;
     bool rtx_armed = false;
@@ -194,6 +203,7 @@ class ReliableTransport {
   void process_ack(Peer& peer, std::uint64_t cum_ack);
 
   HiveId self_;
+  std::size_t n_hives_;
   RuntimeEnv& env_;
   TransportConfig config_;
   std::map<HiveId, Peer> peers_;  ///< ordered: deterministic iteration

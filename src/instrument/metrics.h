@@ -71,6 +71,40 @@ struct BeeMetrics {
     bytes_out += bytes;
     ++causation[{in_reply_to, emitted}];
   }
+
+  /// Starts the next window in place. Counts go to zero but map entries
+  /// stay, so a source that keeps sending reuses its node instead of
+  /// re-inserting it every window; an entry still at zero after a whole
+  /// window is erased, which bounds the maps by the live sources. Readers
+  /// skip zero entries.
+  void reset_window() {
+    auto from = std::move(inbound_from);
+    auto hive = std::move(inbound_hive);
+    auto caused = std::move(causation);
+    auto types = std::move(inbound_types);
+    *this = BeeMetrics{};
+    inbound_from = std::move(from);
+    inbound_hive = std::move(hive);
+    causation = std::move(caused);
+    inbound_types = std::move(types);
+    zero_or_erase(inbound_from);
+    zero_or_erase(inbound_hive);
+    zero_or_erase(causation);
+    zero_or_erase(inbound_types);
+  }
+
+ private:
+  template <typename Map>
+  static void zero_or_erase(Map& counts) {
+    for (auto it = counts.begin(); it != counts.end();) {
+      if (it->second == 0) {
+        it = counts.erase(it);
+      } else {
+        it->second = 0;
+        ++it;
+      }
+    }
+  }
 };
 
 /// Lifetime totals of one hive's reliable control-channel transport

@@ -1,16 +1,16 @@
 // The message envelope: what flows between bees.
 //
 // A message carries a typed payload plus provenance (which app/bee/hive
-// emitted it and when). Within a process the payload travels as an
-// immutable shared object; when a message crosses a hive boundary it is
-// serialized through MsgTypeRegistry and re-materialized on the far side.
+// emitted it and when). A small trivially copyable payload is stored in the
+// envelope itself; any other payload travels as an immutable shared object
+// (msg/body.h). When a message crosses a hive boundary it is serialized
+// through MsgTypeRegistry and re-materialized on the far side.
 // `wire_size` is computed eagerly at emission so the control-channel meter
 // and the instrumentation layer account identical byte counts in both the
 // simulated and the threaded runtimes.
 #pragma once
 
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -40,7 +40,7 @@ class MessageEnvelope {
     ByteWriter& sizing = sizing_scratch();
     body.encode(sizing);
     m.payload_size_ = static_cast<std::uint32_t>(sizing.size());
-    m.body_ = std::make_shared<const T>(std::move(body));
+    m.body_.emplace(std::move(body));
     return m;
   }
 
@@ -78,7 +78,7 @@ class MessageEnvelope {
   /// Total bytes this message occupies on a control channel.
   std::uint32_t wire_size() const { return kHeaderBytes + payload_size_; }
 
-  bool has_body() const { return body_ != nullptr; }
+  bool has_body() const { return !body_.empty(); }
 
   template <WireEncodable T>
   bool is() const {
@@ -95,7 +95,7 @@ class MessageEnvelope {
           std::string(MsgTypeRegistry::instance().name_of(type_)) +
           ", requested " + std::string(T::kTypeName));
     }
-    return *static_cast<const T*>(body_.get());
+    return body_.as<T>();
   }
 
   /// Serializes envelope header + payload for a hive-boundary crossing.
@@ -141,8 +141,8 @@ class MessageEnvelope {
     m.causal_depth_ = r.u32();
     m.trace_root_at_ = r.i64();
     // Borrow the payload straight out of the frame: decode() takes a view,
-    // so the receive path materializes only the typed body object — the
-    // intermediate copy the old code made bought nothing.
+    // and a body stored inline is decoded into the envelope itself, so the
+    // receive path allocates only for bodies that live behind a pointer.
     const std::uint64_t payload_len = r.varint();
     std::string_view payload = r.view(payload_len);
     m.payload_size_ = static_cast<std::uint32_t>(payload.size());
@@ -150,7 +150,7 @@ class MessageEnvelope {
     if (entry == nullptr) {
       throw std::logic_error("unregistered message type on wire");
     }
-    m.body_ = entry->decode(payload);
+    entry->decode_into(payload, m.body_);
     return m;
   }
 
@@ -179,12 +179,12 @@ class MessageEnvelope {
   AppId from_app_ = 0;
   BeeId from_bee_ = kNoBee;
   HiveId from_hive_ = 0;
+  std::uint32_t payload_size_ = 0;
   TimePoint emitted_at_ = 0;
   std::uint64_t trace_id_ = 0;
   std::uint32_t causal_depth_ = 0;
   TimePoint trace_root_at_ = 0;
-  std::uint32_t payload_size_ = 0;
-  std::shared_ptr<const void> body_;
+  MessageBody body_;
 };
 
 }  // namespace beehive

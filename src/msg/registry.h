@@ -17,12 +17,11 @@
 // still calls ensure(), which is then a read.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 
+#include "msg/body.h"
 #include "msg/codec.h"
 #include "util/bytes.h"
 #include "util/types.h"
@@ -34,12 +33,13 @@ class MsgTypeRegistry {
   struct Entry {
     MsgTypeId id = 0;
     std::string name;
-    std::function<Bytes(const void*)> encode;
-    /// Appends the encoding to a caller-owned writer instead of returning a
-    /// fresh buffer — the dispatch path serializes into reusable per-hive
-    /// scratch so a remote send performs no payload allocation.
-    std::function<void(const void*, ByteWriter&)> encode_into;
-    std::function<std::shared_ptr<const void>(std::string_view)> decode;
+    /// Appends the body's encoding to a caller-owned writer — the dispatch
+    /// path serializes into reusable per-hive scratch, so a remote send
+    /// performs no payload allocation.
+    void (*encode_into)(const void* body, ByteWriter& w) = nullptr;
+    /// Decodes a payload into `body`, in place when the type is stored
+    /// inline (msg/body.h). Throws DecodeError on malformed input.
+    void (*decode_into)(std::string_view payload, MessageBody& body) = nullptr;
   };
 
   static MsgTypeRegistry& instance();
@@ -53,14 +53,11 @@ class MsgTypeRegistry {
     Entry e;
     e.id = id;
     e.name = std::string(T::kTypeName);
-    e.encode = [](const void* p) {
-      return encode_to_bytes(*static_cast<const T*>(p));
-    };
     e.encode_into = [](const void* p, ByteWriter& w) {
       static_cast<const T*>(p)->encode(w);
     };
-    e.decode = [](std::string_view data) -> std::shared_ptr<const void> {
-      return std::make_shared<const T>(decode_from_bytes<T>(data));
+    e.decode_into = [](std::string_view data, MessageBody& body) {
+      body.emplace(decode_from_bytes<T>(data));
     };
     entries_.emplace(id, std::move(e));
     return id;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,10 +60,10 @@ struct CellKeyHash {
 /// An ordered, deduplicated set of cells — the result of a Map call.
 ///
 /// One CellSet is built per dispatched message, so its representation is on
-/// the platform's hot path. The overwhelmingly common Map result is a
-/// single cell; that case lives in inline storage and costs no heap
-/// allocation. Multi-cell sets (collocation requests, whole-dict markers
-/// combined with keys) spill into a sorted vector.
+/// the platform's hot path. Map results of one or two cells (a single key,
+/// or a key collocated with one other, as TE's Route maps an alarm) live in
+/// inline storage and cost no heap allocation. Larger sets spill into a
+/// sorted vector.
 class CellSet {
  public:
   CellSet() = default;
@@ -73,19 +74,16 @@ class CellSet {
   CellSet(const CellSet&) = default;
   CellSet& operator=(const CellSet&) = default;
 
-  // Moves must reset the source's size: the inline slot holds moved-from
+  // Moves must reset the source's size: the inline slots hold moved-from
   // strings afterwards, and a defaulted move would leave the source
-  // claiming it still owns one valid cell.
-  CellSet(CellSet&& other) noexcept
-      : size_(other.size_),
-        inline_(std::move(other.inline_)),
-        overflow_(std::move(other.overflow_)) {
-    other.size_ = 0;
-  }
+  // claiming it still owns valid cells.
+  CellSet(CellSet&& other) noexcept { *this = std::move(other); }
   CellSet& operator=(CellSet&& other) noexcept {
     if (this != &other) {
       size_ = other.size_;
-      inline_ = std::move(other.inline_);
+      for (std::size_t i = 0; i < kInline; ++i) {
+        inline_[i] = std::move(other.inline_[i]);
+      }
       overflow_ = std::move(other.overflow_);
       other.size_ = 0;
     }
@@ -104,19 +102,21 @@ class CellSet {
   }
 
   void insert(CellKey cell) {
-    if (size_ == 0) {
-      inline_ = std::move(cell);
-      size_ = 1;
+    if (size_ < kInline) {
+      // Sorted insert among the inline slots.
+      auto* first = std::begin(inline_);
+      auto* last = first + size_;
+      auto* it = std::lower_bound(first, last, cell);
+      if (it != last && *it == cell) return;
+      for (auto* p = last; p != it; --p) *p = std::move(*(p - 1));
+      *it = std::move(cell);
+      ++size_;
       return;
     }
-    if (size_ == 1) {
-      if (inline_ == cell) return;
-      overflow_.reserve(2);
-      overflow_.push_back(std::move(inline_));
-      overflow_.push_back(std::move(cell));
-      if (overflow_[1] < overflow_[0]) std::swap(overflow_[0], overflow_[1]);
-      size_ = 2;
-      return;
+    if (size_ == kInline) {
+      if (contains(cell)) return;
+      overflow_.reserve(kInline + 1);
+      for (CellKey& c : inline_) overflow_.push_back(std::move(c));
     }
     auto it = std::lower_bound(overflow_.begin(), overflow_.end(), cell);
     if (it != overflow_.end() && *it == cell) return;
@@ -178,13 +178,15 @@ class CellSet {
   }
 
  private:
+  static constexpr std::size_t kInline = 2;
+
   const CellKey* data() const {
-    return size_ <= 1 ? &inline_ : overflow_.data();
+    return size_ <= kInline ? inline_ : overflow_.data();
   }
 
   std::size_t size_ = 0;
-  CellKey inline_;                  ///< valid iff size_ == 1
-  std::vector<CellKey> overflow_;   ///< holds all cells when size_ >= 2
+  CellKey inline_[kInline];         ///< the first size_ valid iff size_ <= 2
+  std::vector<CellKey> overflow_;   ///< holds all cells when size_ > 2
 };
 
 }  // namespace beehive

@@ -74,6 +74,10 @@ class ByteWriter {
   /// reusable serialization scratch buffers (zero allocations once warm).
   void clear() { buf_.clear(); }
 
+  /// Exchanges the written bytes with `other`: a frame leaves the writer
+  /// this way and a recycled buffer comes back.
+  void swap(Bytes& other) noexcept { buf_.swap(other); }
+
   /// Overwrites 4 already-written bytes at `pos` with a little-endian u32.
   /// Used to back-patch a count field whose value is only known after the
   /// payload behind it has been appended (e.g. batch frame headers).

@@ -2,16 +2,19 @@
 // per-link FIFO, span pairing, determinism under faults), the single-Map
 // dispatch contract, untrusted-length clamps, the threaded runtime's
 // condition-variable quiescence, allocation budgets for the local and
-// remote steady-state routes and for emitting handlers with large cells,
+// remote steady-state routes on both runtimes, for two-cell Maps and for
+// emitting handlers with large cells, inline and shared message bodies,
 // emission order through the deferred FIFO, and byte-exact rollback and
 // redo with the transaction's retained buffers (which never migrate between
 // cells).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -143,6 +146,54 @@ class CountingMapApp : public App {
           I64 v = ctx.state().get_as<I64>("cnt", m.key).value_or(I64{});
           v.v += m.amount;
           ctx.state().put_as("cnt", m.key, v);
+        });
+  }
+};
+
+/// A trivially copyable 16-byte message: the envelope stores it inline.
+struct Tally {
+  static constexpr std::string_view kTypeName = "test.tally";
+  std::uint32_t key = 0;
+  std::int64_t amount = 0;
+
+  void encode(ByteWriter& w) const {
+    w.u32(key);
+    w.i64(amount);
+  }
+  static Tally decode(ByteReader& r) {
+    Tally m;
+    m.key = r.u32();
+    m.amount = r.i64();
+    return m;
+  }
+};
+
+/// Adds every Tally into one counter cell.
+class TallyApp : public App {
+ public:
+  TallyApp() : App("test.tally") {
+    on<Tally>([](const Tally&) { return CellSet::single("tally", "all"); },
+              [](AppContext& ctx, const Tally& m) {
+                I64 v = ctx.state().get_as<I64>("tally", "all").value_or(I64{});
+                v.v += m.amount;
+                ctx.state().put_as("tally", "all", v);
+              });
+  }
+};
+
+/// Maps every Tally to two cells (a key collocated with a second one, the
+/// shape of TE Route's Map) and adds it into the first.
+class PairTallyApp : public App {
+ public:
+  PairTallyApp() : App("test.pair_tally") {
+    on<Tally>(
+        [](const Tally&) {
+          return CellSet{{"pair", "left"}, {"pair", "right"}};
+        },
+        [](AppContext& ctx, const Tally& m) {
+          I64 v = ctx.state().get_as<I64>("pair", "left").value_or(I64{});
+          v.v += m.amount;
+          ctx.state().put_as("pair", "left", v);
         });
   }
 };
@@ -628,18 +679,24 @@ TEST(DispatchAllocs, BoundedLocalSteadyStateIsAllocationFree) {
          "allocations per message on the warmed local path";
 }
 
-TEST(DispatchAllocs, RemoteSteadyStateWithinTwoAllocsPerMessage) {
+TEST(DispatchAllocs, RemoteSteadyStateIsAllocationFree) {
+  // A trivially copyable body is built, encoded, framed, batched, handed
+  // over and decoded without touching the heap: the body lives in the
+  // envelope, the egress buffer comes back from the runtime's frame pool
+  // and the delivery closure is stored inline.
   AppSet apps;
-  apps.emplace<CounterApp>();
+  apps.emplace<TallyApp>();
   SimCluster sim(two_hive_config(), apps);
   pin_to_hive_1(sim);
   sim.start();
 
   MessageEnvelope msg =
-      MessageEnvelope::make(Incr{"k0", 1}, 0, kNoBee, 0, sim.now());
+      MessageEnvelope::make(Tally{0, 1}, 0, kNoBee, 0, sim.now());
   constexpr std::uint64_t kBurst = 2000;
-  for (std::uint64_t i = 0; i < kBurst; ++i) sim.hive(0).inject(msg);
-  sim.run_to_idle();  // warm caches, scratch buffers, event queue capacity
+  for (int warm = 0; warm < 2; ++warm) {  // caches, buffers, frame pool
+    for (std::uint64_t i = 0; i < kBurst; ++i) sim.hive(0).inject(msg);
+    sim.run_to_idle();
+  }
 
   constexpr std::uint64_t kRounds = 3;
   const std::uint64_t runs_before = sim.hive(1).counters().handler_runs;
@@ -654,17 +711,85 @@ TEST(DispatchAllocs, RemoteSteadyStateWithinTwoAllocsPerMessage) {
   const std::uint64_t delivered =
       sim.hive(1).counters().handler_runs - runs_before;
   ASSERT_EQ(delivered, kRounds * kBurst);
-  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(delivered), 2.0)
-      << "remote dispatch must average <= 2 allocations per message "
-         "(typed body materialization + amortized batch machinery); got "
-      << allocs << " allocs for " << delivered << " messages";
+  EXPECT_EQ(allocs, 0u) << "the warmed remote route must not touch the heap "
+                           "for a trivially copyable message";
 }
 
-TEST(DispatchAllocs, ThreadedEmitAndLargeCellWithinOneAllocPerEmission) {
+TEST(DispatchAllocs, TwoCellMapIsAllocationFree) {
+  AppSet apps;
+  apps.emplace<PairTallyApp>();
+  ClusterConfig cfg;
+  cfg.n_hives = 1;
+  cfg.hive.metrics_period = 0;
+  SimCluster sim(cfg, apps);
+  sim.start();
+
+  MessageEnvelope msg =
+      MessageEnvelope::make(Tally{0, 1}, 0, kNoBee, 0, sim.now());
+  for (int i = 0; i < 2000; ++i) sim.hive(0).inject(msg);  // warm everything
+  sim.run_to_idle();
+
+  constexpr std::uint64_t kN = 5000;
+  const std::uint64_t runs_before = sim.hive(0).counters().handler_runs;
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < kN; ++i) sim.hive(0).inject(msg);
+  sim.run_to_idle();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+
+  ASSERT_EQ(sim.hive(0).counters().handler_runs - runs_before, kN);
+  EXPECT_EQ(allocs, 0u) << "a two-cell CellSet must stay in inline storage";
+}
+
+TEST(ThreadClusterFrames, RemoteSteadyStateIsAllocationFree) {
+  // The threaded runtime's remote route once warm: frames ride pooled
+  // nodes recycled per link, so batches, handoff closures and decoded
+  // bodies cost nothing per message.
+  AppSet apps;
+  apps.emplace<TallyApp>();
+  ThreadClusterConfig cfg;
+  cfg.n_hives = 2;
+  cfg.metrics = false;
+  cfg.hive.metrics_period = 0;
+  cfg.hive.timers_until = 0;
+  ThreadCluster cluster(cfg, apps);
+  cluster.registry().set_placement_hook(
+      [](AppId, const CellSet&, HiveId) -> HiveId { return 1; });
+  cluster.start();
+  cluster.wait_idle();
+
+  const MessageEnvelope in = MessageEnvelope::make(Tally{0, 1}, 0, kNoBee, 0, 0);
+  constexpr int kPerRound = 200;
+  // The posted closure captures two pointers: stored inline, no allocation.
+  auto round = [&cluster, &in] {
+    cluster.post(0, [hive = &cluster.hive(0), msg = &in] {
+      for (int i = 0; i < kPerRound; ++i) hive->inject(*msg);
+    });
+    cluster.wait_idle();
+  };
+  for (int r = 0; r < 20; ++r) round();  // warm buffers, caches, frame pool
+
+  constexpr std::uint64_t kRounds = 50;
+  const std::uint64_t runs_before = cluster.hive(1).counters().handler_runs;
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (std::uint64_t r = 0; r < kRounds; ++r) round();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delivered =
+      cluster.hive(1).counters().handler_runs - runs_before;
+  cluster.stop();
+
+  ASSERT_EQ(delivered, kRounds * kPerRound);
+  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(delivered),
+            0.01)
+      << allocs << " allocs for " << delivered << " remote messages";
+}
+
+TEST(DispatchAllocs, ThreadedEmitAndLargeCellIsAllocationFree) {
   // A handler that writes a ~2 KB cell and emits one small message to a
-  // second local app: the cell write rotates the transaction's buffers,
-  // the emission rides the hive's emission buffer and deferred FIFO, so
-  // the typed body's make_shared is the only allocation left per message.
+  // second local app: the cell write reuses the transaction's buffers,
+  // the emission rides the hive's emission buffer and deferred FIFO, and
+  // the emitted body is stored in its envelope.
   std::vector<std::uint32_t> received;
   received.reserve(8000);  // the sink's push_back must not allocate
   AppSet apps;
@@ -701,10 +826,121 @@ TEST(DispatchAllocs, ThreadedEmitAndLargeCellWithinOneAllocPerEmission) {
   cluster.stop();
 
   ASSERT_EQ(emitted, kRounds * kPerRound);
-  EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(emitted), 1.0)
-      << "an emitting handler with a 2 KB cell write must average <= 1 "
-         "allocation per emitted message (the typed body); got "
-      << allocs << " allocs for " << emitted << " emissions";
+  EXPECT_EQ(allocs, 0u) << "an emitting handler with a 2 KB cell write must "
+                           "not allocate; got "
+                        << allocs << " allocs for " << emitted
+                        << " emissions";
+}
+
+// ---------------------------------------------------------------------------
+// Message bodies: inline when small and trivially copyable, shared otherwise
+// ---------------------------------------------------------------------------
+
+/// Exactly at the inline limit, and one byte over it.
+struct Body32 {
+  static constexpr std::string_view kTypeName = "test.body32";
+  char bytes[32] = {};
+  void encode(ByteWriter& w) const { w.raw({bytes, sizeof(bytes)}); }
+  static Body32 decode(ByteReader& r) {
+    Body32 m;
+    const std::string_view v = r.view(sizeof(m.bytes));
+    std::copy(v.begin(), v.end(), m.bytes);
+    return m;
+  }
+};
+struct Body33 {
+  static constexpr std::string_view kTypeName = "test.body33";
+  char bytes[33] = {};
+  void encode(ByteWriter& w) const { w.raw({bytes, sizeof(bytes)}); }
+  static Body33 decode(ByteReader& r) {
+    Body33 m;
+    const std::string_view v = r.view(sizeof(m.bytes));
+    std::copy(v.begin(), v.end(), m.bytes);
+    return m;
+  }
+};
+/// Small, but with a user-provided copy: not trivially copyable.
+struct CountedCopy {
+  static constexpr std::string_view kTypeName = "test.counted_copy";
+  std::uint32_t v = 0;
+  CountedCopy() = default;
+  explicit CountedCopy(std::uint32_t x) : v(x) {}
+  CountedCopy(const CountedCopy& o) : v(o.v) {}
+  CountedCopy& operator=(const CountedCopy&) = default;
+  void encode(ByteWriter& w) const { w.u32(v); }
+  static CountedCopy decode(ByteReader& r) { return CountedCopy(r.u32()); }
+};
+
+static_assert(MessageBody::kStoredInline<Body32>);
+static_assert(!MessageBody::kStoredInline<Body33>);
+static_assert(!MessageBody::kStoredInline<CountedCopy>);
+static_assert(MessageBody::kStoredInline<Tally>);
+
+/// Heap allocations `fn` makes.
+template <typename Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  fn();
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+TEST(EnvelopeBody, InlineBodyOutlivesItsSourceEnvelope) {
+  MsgTypeRegistry::instance().ensure<Body32>();
+  Body32 body;
+  for (std::size_t i = 0; i < sizeof(body.bytes); ++i) {
+    body.bytes[i] = static_cast<char>('a' + i % 26);
+  }
+  MessageEnvelope::make(body);  // warms the per-thread sizing buffer
+  std::optional<MessageEnvelope> copy;
+  const std::uint64_t allocs = allocations_of([&] {
+    MessageEnvelope source = MessageEnvelope::make(body, 7, kNoBee, 1, 5);
+    copy = source;
+    // Overwrite the source's bytes: the copy must not share them.
+    source = MessageEnvelope::make(Body32{}, 7, kNoBee, 1, 5);
+  });
+  EXPECT_EQ(allocs, 0u) << "making and copying an inline body is heap-free";
+  ASSERT_TRUE(copy->has_body());
+  EXPECT_EQ(std::string_view(copy->as<Body32>().bytes, 32),
+            std::string_view(body.bytes, 32));
+
+  // The wire round trip rebuilds the body inline too.
+  const Bytes wire = copy->to_wire();
+  std::optional<MessageEnvelope> back;
+  EXPECT_EQ(allocations_of([&] { back = MessageEnvelope::from_wire(wire); }),
+            0u);
+  EXPECT_EQ(std::string_view(back->as<Body32>().bytes, 32),
+            std::string_view(body.bytes, 32));
+}
+
+TEST(EnvelopeBody, OversizeAndNonTriviallyCopyableBodiesAreShared) {
+  MsgTypeRegistry::instance().ensure<Body33>();
+  MsgTypeRegistry::instance().ensure<CountedCopy>();
+  Body33 big;
+  big.bytes[32] = 'z';
+  MessageEnvelope::make(big);  // warms the per-thread sizing buffer
+  std::optional<MessageEnvelope> a;
+  std::optional<MessageEnvelope> b;
+  EXPECT_EQ(allocations_of([&] { a = MessageEnvelope::make(big); }), 1u)
+      << "one byte over the limit: the body is built once behind a pointer";
+  EXPECT_EQ(allocations_of([&] { b = *a; }), 0u) << "copies share it";
+  EXPECT_EQ(&a->as<Body33>(), &b->as<Body33>());
+  EXPECT_EQ(b->as<Body33>().bytes[32], 'z');
+
+  std::optional<MessageEnvelope> c;
+  std::optional<MessageEnvelope> d;
+  EXPECT_EQ(allocations_of([&] { c = MessageEnvelope::make(CountedCopy(9)); }),
+            1u);
+  d = *c;
+  EXPECT_EQ(&c->as<CountedCopy>(), &d->as<CountedCopy>());
+  EXPECT_EQ(MessageEnvelope::from_wire(d->to_wire()).as<CountedCopy>().v, 9u);
+}
+
+TEST(EnvelopeBody, AsThrowsOnTypeMismatch) {
+  const MessageEnvelope inline_body = MessageEnvelope::make(Tally{1, 2});
+  const MessageEnvelope shared_body = MessageEnvelope::make(Body33{});
+  EXPECT_THROW(inline_body.as<Body33>(), std::logic_error);
+  EXPECT_THROW(shared_body.as<Tally>(), std::logic_error);
+  EXPECT_EQ(inline_body.as<Tally>().amount, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "apps/learning_switch.h"
 #include "apps/messages.h"
 #include "apps/routing.h"
+#include "core/wire.h"
 #include "cluster/sim.h"
 #include "instrument/collector.h"
 #include "placement/strategy.h"
@@ -192,6 +194,105 @@ TEST_F(FaultSimTest, EffectivelyOnceUnderHeavyDropAndDuplication) {
   EXPECT_GT(sim.faults().stats().frames_dropped, 0u);
   EXPECT_GT(sim.faults().stats().frames_duplicated, 0u);
   EXPECT_EQ(t0.frames_abandoned + t1.frames_abandoned, 0u);
+}
+
+TEST_F(FaultSimTest, FaultFreeLinkNeverRetransmits) {
+  // Traffic both ways for 60 retransmission timeouts over a clean
+  // channel: every frame is acked within one round trip, so no frame is
+  // ever late, resent or received twice.
+  SimCluster sim = make_sim(2);
+  sim.start();
+  send(sim, 0, Incr{"a", 1});  // "a" homes on hive 0
+  send(sim, 1, Incr{"b", 1});  // "b" homes on hive 1
+  const Duration rto = sim.config().hive.transport.rto_initial;
+  const TimePoint until = sim.now() + 60 * rto;
+  int sent = 0;
+  while (sim.now() < until) {
+    inject(sim, 1, Incr{"a", 1});
+    inject(sim, 0, Incr{"b", 1});
+    ++sent;
+    sim.run_for(100 * kMicrosecond);
+  }
+  sim.run_to_idle();
+
+  EXPECT_EQ(counter_value(sim, "a"), 1 + sent);
+  EXPECT_EQ(counter_value(sim, "b"), 1 + sent);
+  for (HiveId h = 0; h < 2; ++h) {
+    const TransportCounters& t = sim.hive(h).transport_counters();
+    EXPECT_GT(t.data_frames, 50u) << "hive " << h;
+    EXPECT_EQ(t.retransmits, 0u) << "hive " << h;
+    EXPECT_EQ(t.dup_frames_dropped, 0u) << "hive " << h;
+  }
+}
+
+TEST_F(FaultSimTest, OutOfRangeHiveIdsAreRejectedAtDecode) {
+  // Hive ids read off the wire index per-hive tables. Each frame below is
+  // well-formed but names a hive outside this 2-hive cluster; each must be
+  // dropped and counted, and the cluster must keep serving.
+  SimCluster sim = make_sim(2);
+  sim.start();
+  send(sim, 1, Incr{"k", 1});  // "k" homes on hive 1
+  const BeeId bee = sim.registry().live_bees().at(0).id;
+  const AppId app = apps_.find_by_name("test.counter")->id();
+
+  std::vector<Bytes> frames;
+  {
+    // A 37-byte kMergeCmd naming winner hive 146860006: a seeded mutation
+    // loop found this shape segfaulting a Release SimCluster, whose
+    // send_frame bounds checks are asserts. Here it names the live bee as
+    // the loser, whose state a merge toward a hive that does not exist
+    // would lose. The winner_expected varint spans all ten bytes, and two
+    // stray bytes trail the frame.
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(FrameKind::kMergeCmd));
+    w.u64(bee);  // loser
+    w.u32(app);
+    w.u64(0x3f1d2c0000000011ull);  // winner
+    w.u32(146860006);              // winner hive
+    w.varint(~0ull);    // winner_expected, 10 bytes
+    w.u8(0x5a);
+    w.u8(0xa5);
+    ASSERT_EQ(w.size(), 37u);
+    frames.push_back(std::move(w).take());
+  }
+  frames.push_back(encode_frame(FrameKind::kMigrationOrder,
+                                MigrationOrderFrame{bee, /*to_hive=*/7}));
+  {
+    MigrateXferFrame xfer;
+    xfer.bee = bee;
+    xfer.app = app;
+    xfer.src_hive = 1000;
+    xfer.snapshot = StateStore{}.snapshot();
+    frames.push_back(encode_frame(FrameKind::kMigrateXfer, xfer));
+  }
+  {
+    // An app message whose envelope claims to come from hive 5.
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(FrameKind::kAppMsg));
+    AppMsgFrame{bee, app, 0,
+                MessageEnvelope::make(Incr{"k", 1}, 0, kNoBee, 5, 0).to_wire()}
+        .encode(w);
+    frames.push_back(std::move(w).take());
+  }
+  for (FrameKind kind : {FrameKind::kReliable, FrameKind::kAck}) {
+    // Transport frames from hive 99.
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(kind));
+    w.u32(99);
+    w.varint(1);
+    if (kind == FrameKind::kReliable) w.varint(0);
+    w.varint(0);
+    frames.push_back(std::move(w).take());
+  }
+
+  for (Bytes& frame : frames) sim.send_frame(0, 1, std::move(frame));
+  sim.run_to_idle();
+  EXPECT_EQ(sim.hive(1).counters().wire_rejected, frames.size());
+  EXPECT_EQ(sim.hive(0).counters().wire_rejected, 0u);
+
+  send(sim, 0, Incr{"k", 1});
+  EXPECT_EQ(counter_value(sim, "k"), 2)
+      << "only the two legitimate increments ran";
 }
 
 TEST_F(FaultSimTest, TransportRestoresOrderAcrossForcedReordering) {

@@ -200,6 +200,39 @@ TEST(Registry, UnknownTypeHasPlaceholderName) {
 // Cells
 // ---------------------------------------------------------------------------
 
+TEST(CellSetInline, TwoCellsStaySortedInlineAndSpillOnTheThird) {
+  CellSet s;
+  s.insert({"d", "m"});
+  s.insert({"d", "c"});
+  s.insert({"d", "m"});  // duplicate
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0].key, "c");
+  EXPECT_EQ(s[1].key, "m");
+  EXPECT_TRUE(s.contains({"d", "m"}));
+
+  s.insert({"d", "x"});
+  s.insert({"d", "a"});
+  s.insert({"d", "c"});  // duplicate, after the spill
+  ASSERT_EQ(s.size(), 4u);
+  EXPECT_EQ(s.to_string(), "{d/a, d/c, d/m, d/x}");
+
+  CellSet moved = std::move(s);
+  EXPECT_TRUE(s.empty());  // NOLINT(bugprone-use-after-move): reset by move
+  EXPECT_EQ(moved.size(), 4u);
+
+  const CellSet two{{"d", "b"}, {"d", "a"}};
+  CellSet copy = two;
+  EXPECT_EQ(copy, two);
+  CellSet from_copy = std::move(copy);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(from_copy, two);
+  EXPECT_EQ(from_copy.front().key, "a");
+  ByteWriter w;
+  from_copy.encode(w);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(CellSet::decode(r), two);
+}
+
 TEST(CellSet, InsertDeduplicatesAndSorts) {
   CellSet s;
   s.insert({"d", "b"});

@@ -2,18 +2,29 @@
 // (aggregation as a Beehive application), and placement strategies.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cluster/sim.h"
 #include "instrument/collector.h"
 #include "instrument/metrics.h"
 #include "placement/strategy.h"
 #include "tests/test_helpers.h"
+#include "util/hash.h"
 
 namespace beehive {
 namespace {
 
 using testing::CounterApp;
+using testing::CounterQuery;
 using testing::I64;
 using testing::Incr;
+
+// Reports of BeeMetrics.WindowReportsAreByteIdenticalToFreshWindowMaps,
+// recorded when every window started from empty maps: their count and the
+// FNV-1a digest of their concatenated encodings.
+constexpr std::size_t kExpectedReports = 14;
+constexpr std::uint64_t kExpectedDigest = 16768839657750804735ull;
 
 // ---------------------------------------------------------------------------
 // BeeMetrics & samples
@@ -31,6 +42,111 @@ TEST(BeeMetrics, ReceiveAndEmitAccounting) {
   EXPECT_EQ(m.inbound_from[9], 1u);
   EXPECT_EQ(m.msgs_out, 1u);
   EXPECT_EQ((m.causation[{1, 2}]), 1u);
+}
+
+TEST(BeeMetrics, WindowResetZeroesInPlaceThenErasesQuietEntries) {
+  BeeMetrics m;
+  m.on_receive(7, 100, /*type=*/3);
+  m.on_receive(9, 10, /*type=*/3);
+  m.on_emit(3, 4, 30);
+  m.inbound_hive[{7, 1}] = 1;
+  const std::uint64_t* slot = &m.inbound_from[7];
+
+  m.reset_window();  // one window: every entry stays, at zero
+  EXPECT_EQ(m.msgs_in, 0u);
+  EXPECT_EQ(m.msgs_out, 0u);
+  EXPECT_EQ(m.inbound_from.size(), 2u);
+  EXPECT_EQ(m.inbound_from.at(7), 0u);
+  EXPECT_EQ(&m.inbound_from.at(7), slot) << "the node is reused, not rebuilt";
+  EXPECT_EQ((m.causation.at({3, 4})), 0u);
+  EXPECT_EQ((m.inbound_hive.at({7, 1})), 0u);
+  EXPECT_EQ(m.inbound_types.at(3), 0u);
+
+  m.on_receive(7, 5, /*type=*/3);  // source 7 keeps sending; 9 went quiet
+  m.reset_window();
+  EXPECT_EQ(m.inbound_from.size(), 1u);
+  EXPECT_EQ(m.inbound_from.at(7), 0u);
+  EXPECT_EQ(m.inbound_types.size(), 1u);
+  EXPECT_TRUE(m.causation.empty());
+  EXPECT_TRUE(m.inbound_hive.empty());
+
+  m.reset_window();  // a whole window at zero: erased
+  EXPECT_TRUE(m.inbound_from.empty());
+  EXPECT_TRUE(m.inbound_types.empty());
+}
+
+/// Records every LocalMetricsReport a hive injects, encoded.
+class ReportTapApp : public App {
+ public:
+  explicit ReportTapApp(std::vector<Bytes>* sink) : App("test.report_tap") {
+    on<LocalMetricsReport>(
+        [](const LocalMetricsReport& r) {
+          return CellSet::single("tap", "h" + std::to_string(r.hive));
+        },
+        [sink](AppContext&, const LocalMetricsReport& r) {
+          sink->push_back(encode_to_bytes(r));
+        });
+  }
+};
+
+TEST(BeeMetrics, WindowReportsAreByteIdenticalToFreshWindowMaps) {
+  // Sources that send, go quiet for a window or two and come back, local
+  // and remote, with emissions (causation) and without. Window maps now
+  // keep quiet entries at zero for a window before erasing them, and the
+  // report skips zeros, so every report must carry exactly the bytes it
+  // carried when each window started from empty maps. The expected digest
+  // was recorded from that implementation on this scenario.
+  std::vector<Bytes> reports;
+  AppSet apps;
+  apps.emplace<CounterApp>();
+  apps.emplace<ReportTapApp>(&reports);
+  ClusterConfig cfg;
+  cfg.n_hives = 2;
+  cfg.hive.metrics_period = 10 * kMillisecond;
+  SimCluster sim(cfg, apps);
+  sim.start();
+
+  const auto incr = [&sim](HiveId at, const char* key) {
+    sim.hive(at).inject(
+        MessageEnvelope::make(Incr{key, 1}, 0, kNoBee, at, sim.now()));
+  };
+  const auto query = [&sim](HiveId at, const char* key) {
+    sim.hive(at).inject(
+        MessageEnvelope::make(CounterQuery{key}, 0, kNoBee, at, sim.now()));
+  };
+  // Window 1: "a" homes on hive 0, "b" on hive 1.
+  for (int i = 0; i < 3; ++i) incr(0, "a");
+  for (int i = 0; i < 2; ++i) incr(1, "b");
+  query(0, "a");
+  sim.run_until(15 * kMillisecond);
+  // Window 2: "a" from hive 1 only; "b" quiet.
+  incr(1, "a");
+  incr(1, "a");
+  sim.run_until(25 * kMillisecond);
+  // Window 3: everything quiet. Window 4: "b" and the query come back.
+  sim.run_until(35 * kMillisecond);
+  incr(1, "b");
+  query(1, "a");
+  sim.run_until(75 * kMillisecond);
+
+  ASSERT_GE(reports.size(), 12u);
+  std::string all;
+  bool quiet_sample = false;
+  for (const Bytes& r : reports) {
+    all += r;
+    for (const BeeMetricsSample& s :
+         decode_from_bytes<LocalMetricsReport>(r).bees) {
+      if (s.msgs_in == 0) {
+        quiet_sample = true;
+        EXPECT_TRUE(s.sources.empty() && s.in_types.empty() &&
+                    s.causations.empty())
+            << "a quiet bee reports no window entries";
+      }
+    }
+  }
+  EXPECT_TRUE(quiet_sample);
+  EXPECT_EQ(reports.size(), kExpectedReports);
+  EXPECT_EQ(fnv1a64(all), kExpectedDigest);
 }
 
 TEST(BeeMetricsSample, CodecRoundTrip) {

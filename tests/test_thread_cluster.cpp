@@ -391,6 +391,10 @@ TEST_F(ThreadClusterWire, MalformedFrameUnderTransportIsAckedOnce) {
   apps_.emplace<UndecodableApp>();
   ThreadClusterConfig config = wired_config();
   config.hive.transport.enabled = true;
+  // A timeout far above any ack delay, sanitizer builds included: every
+  // frame is acked long before it is late, so a duplicate below could only
+  // come from a retransmit of a frame that was not late.
+  config.hive.transport.rto_initial = 50 * kMillisecond;
   ThreadCluster cluster(config, apps_);
   start_pinned(cluster);
 
@@ -414,6 +418,110 @@ TEST_F(ThreadClusterWire, MalformedFrameUnderTransportIsAckedOnce) {
   expect_rejected(cluster, 1);
   cluster.stop();
   EXPECT_EQ(cluster.hive(0).transport()->unacked_frames(), 0u);
+  // Nothing was lost, so nothing may have been sent twice.
+  for (HiveId h = 0; h < 2; ++h) {
+    EXPECT_EQ(cluster.hive(h).transport()->counters().dup_frames_dropped, 0u)
+        << "hive " << h;
+  }
+}
+
+TEST_F(ThreadClusterWire, FaultFreeLinkNeverRetransmits) {
+  ThreadClusterConfig config = wired_config();
+  config.hive.transport.enabled = true;
+  // Acks wait up to 5 ms for a piggyback; the timeout is ten times that,
+  // far above any ack delay even a sanitizer build shows.
+  config.hive.transport.ack_delay = 5 * kMillisecond;
+  config.hive.transport.rto_initial = 50 * kMillisecond;
+  ThreadCluster cluster(config, apps_);
+  start_pinned(cluster);
+
+  // A message every ~0.5 ms for three timeouts: unacked frames are always
+  // in flight when a retransmit timer fires, so a timer that resent every
+  // unacked frame, late or not, would show up as duplicates here.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
+  int sent = 0;
+  while (std::chrono::steady_clock::now() < until) {
+    inject(cluster, 0, Incr{"w", 1});
+    ++sent;
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  cluster.wait_idle();
+
+  EXPECT_EQ(counter_value(cluster, "w"), 1 + sent);
+  EXPECT_GT(cluster.hive(0).transport()->counters().data_frames, 50u);
+  for (HiveId h = 0; h < 2; ++h) {
+    const TransportCounters& t = cluster.hive(h).transport()->counters();
+    EXPECT_EQ(t.retransmits, 0u) << "hive " << h;
+    EXPECT_EQ(t.dup_frames_dropped, 0u) << "hive " << h;
+  }
+  cluster.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Pooled frame handoff: frames in flight when the cluster stops are freed,
+// and a duplicated frame rides a node of its own
+// ---------------------------------------------------------------------------
+
+class ThreadClusterFrames : public ThreadClusterWire {};
+
+TEST_F(ThreadClusterFrames, StopWithFramesInFlightFreesThem) {
+  ThreadCluster cluster(wired_config(), apps_);
+  start_pinned(cluster);
+  const std::uint64_t runs_before = cluster.hive(1).counters().handler_runs;
+
+  // Hold hive 1's loop in one task until stop() begins: the frames hive 0
+  // sends meanwhile are still queued when the loops end.
+  std::atomic<bool> holding{false};
+  cluster.post(1, [&cluster, &holding] {
+    holding.store(true);
+    while (cluster.running()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  while (!holding.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (int i = 0; i < 5; ++i) {
+    inject(cluster, 0, Incr{"w", 1});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (int i = 0; i < 2000 && cluster.frames().in_flight() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const std::size_t in_flight = cluster.frames().in_flight();
+
+  cluster.stop();
+  EXPECT_GT(in_flight, 0u) << "the frames must still be queued at stop()";
+  EXPECT_EQ(cluster.frames().in_flight(), 0u)
+      << "stop() must free every frame still in flight";
+  EXPECT_EQ(cluster.hive(1).counters().handler_runs, runs_before)
+      << "no frame may be delivered after stop()";
+}
+
+TEST_F(ThreadClusterFrames, DuplicatedAndDelayedFramesRideTheirOwnNodes) {
+  ThreadClusterConfig config = wired_config();
+  config.hive.transport.enabled = true;
+  ThreadCluster cluster(config, apps_);
+  LinkFaults faults;
+  faults.duplicate = 1.0;
+  faults.jitter = 0.5;
+  faults.jitter_max = 300 * kMicrosecond;
+  cluster.faults().set_default_link(faults);
+  start_pinned(cluster);
+  traffic(cluster, "w", 200);
+
+  // Every frame arrived twice, in its own node with its own bytes; the
+  // transport dropped each second copy, so every message ran once.
+  EXPECT_EQ(counter_value(cluster, "w"), 1 + 200);
+  EXPECT_GT(cluster.faults().stats().frames_duplicated, 0u);
+  EXPECT_GT(cluster.hive(1).transport()->counters().dup_frames_dropped, 0u);
+  EXPECT_EQ(cluster.hive(1).counters().wire_rejected, 0u);
+  EXPECT_EQ(cluster.frames().in_flight(), 0u)
+      << "an idle cluster has every node back in its link's spares";
+  EXPECT_GT(cluster.frames().spares(0, 1), 0u);
+  cluster.stop();
 }
 
 }  // namespace
